@@ -24,7 +24,7 @@
 
 use ems_catalog::{outcome_score, Catalog};
 use ems_core::engine::{Engine, RunOptions, RunOutput};
-use ems_core::{Direction, EmsParams, MatchSession, SessionOptions, SharedSession, SparseSim};
+use ems_core::{Direction, EmsParams, SessionOptions, SharedSession, SparseSim};
 use ems_depgraph::DependencyGraph;
 use ems_labels::LabelMatrix;
 use ems_obs::trajectory::TrajectoryRow;
@@ -845,7 +845,7 @@ fn sparse_size(n: usize, metrics: &Recorder) -> SizeReport {
 
 /// The catalog-serving throughput row (tentpole of the serve PR): one
 /// shared catalog answering top-k queries with sketch pruning, measured
-/// against the per-process baseline — a fresh [`MatchSession`] for every
+/// against the per-process baseline — a fresh [`SharedSession`] for every
 /// (query, reference) pair, exactly what scripting `ems match` in a loop
 /// costs.
 struct ServeBenchReport {
@@ -965,10 +965,10 @@ fn serve_bench(metrics: &Recorder) -> ServeBenchReport {
     for qx in &query_xes {
         let mut scored: Vec<(f64, usize)> = Vec::new();
         for (ri, rx) in ref_xes.iter().enumerate() {
-            let mut session = MatchSession::try_new(params.clone()).expect("params are valid");
-            let hq = session.ingest(parse(qx));
-            let hr = session.ingest(parse(rx));
-            let out = session.match_pair(hq, hr).expect("session match succeeds");
+            let session = SharedSession::try_new(params.clone()).expect("params are valid");
+            let out = session
+                .try_match(&parse(qx), &parse(rx))
+                .expect("session match succeeds");
             scored.push((outcome_score(&out), ri));
         }
         scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -1125,28 +1125,26 @@ fn session_rows(
     let mut cached_ms = f64::INFINITY;
     let mut warm_ms = f64::INFINITY;
     for _ in 0..rounds {
-        let mut session = MatchSession::try_new(session_params.clone()).expect("params are valid");
-        let h1 = session.ingest(l1.clone());
-        let h2 = session.ingest(l2.clone());
-        let warm_opts = SessionOptions {
-            warm_start: true,
-            ..SessionOptions::default()
-        };
+        let session = SharedSession::try_new(session_params.clone()).expect("params are valid");
         let start = Instant::now();
-        let cold = session.match_pair(h1, h2).expect("session match succeeds");
+        let cold = session.try_match(l1, l2).expect("session match succeeds");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if ms < cold_ms {
             cold_ms = ms;
         }
         let start = Instant::now();
-        let cached = session.match_pair(h1, h2).expect("session match succeeds");
+        let cached = session.try_match(l1, l2).expect("session match succeeds");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if ms < cached_ms {
             cached_ms = ms;
         }
+        let warm_opts = SessionOptions {
+            prior: Some(&cold),
+            ..SessionOptions::default()
+        };
         let start = Instant::now();
         let _warm = session
-            .match_pair_opts(h1, h2, &warm_opts)
+            .try_match_opts(l1, l2, &warm_opts)
             .expect("session match succeeds");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if ms < warm_ms {
@@ -1173,22 +1171,18 @@ fn session_rows(
     for _ in 0..rounds {
         let _ = std::fs::remove_dir_all(&store_root);
         let store = Arc::new(CatalogStore::open(&store_root).expect("store opens"));
-        let mut populate = MatchSession::try_new(session_params.clone())
+        let populate = SharedSession::try_new(session_params.clone())
             .expect("params are valid")
             .with_store(store);
-        let h1 = populate.ingest(l1.clone());
-        let h2 = populate.ingest(l2.clone());
-        let cold = populate.match_pair(h1, h2).expect("session match succeeds");
+        let cold = populate.try_match(l1, l2).expect("session match succeeds");
         drop(populate);
         // Reopen the store as a fresh process would.
         let store = Arc::new(CatalogStore::open(&store_root).expect("store reopens"));
-        let mut fresh = MatchSession::try_new(session_params.clone())
+        let fresh = SharedSession::try_new(session_params.clone())
             .expect("params are valid")
             .with_store(store);
-        let h1 = fresh.ingest(l1.clone());
-        let h2 = fresh.ingest(l2.clone());
         let start = Instant::now();
-        let disk = fresh.match_pair(h1, h2).expect("session match succeeds");
+        let disk = fresh.try_match(l1, l2).expect("session match succeeds");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         if ms < disk_ms {
             disk_ms = ms;

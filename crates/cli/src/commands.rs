@@ -5,7 +5,7 @@ use ems_assignment::max_total_assignment;
 use ems_core::composite::{
     discover_candidates, CandidateConfig, CompositeConfig, CompositeMatcher,
 };
-use ems_core::{persist, Ems, EmsParams, LabelMeasure, MatchSession, SessionOptions};
+use ems_core::{persist, Ems, EmsParams, LabelMeasure, SessionOptions, SharedSession};
 use ems_depgraph::{filter_min_frequency, to_dot, DependencyGraph};
 use ems_error::EmsError;
 use ems_eval::Table;
@@ -364,11 +364,11 @@ fn do_match(args: &MatchArgs) -> Result<(), EmsError> {
         }
         (outcome.log1, outcome.log2, outcome.similarity)
     } else {
-        // The staged pipeline: ingest → model → substrate → solve →
+        // The staged pipeline: model → substrate → labels → solve →
         // aggregate. One recorder serves both roles here — session stage
         // telemetry (graph gauges, cache counters) and the engine trace
         // land in the same output files.
-        let mut session = MatchSession::try_new(params)?.with_min_frequency(args.min_freq);
+        let mut session = SharedSession::try_new(params)?.with_min_frequency(args.min_freq);
         if let Some(r) = &recorder {
             session = session.with_recorder(Arc::clone(r));
         }
@@ -379,14 +379,12 @@ fn do_match(args: &MatchArgs) -> Result<(), EmsError> {
             }
             session = session.with_store(Arc::new(store));
         }
-        let h1 = session.ingest(l1.clone());
-        let h2 = session.ingest(l2.clone());
         let options = SessionOptions {
             budget: args.budget.clone().unwrap_or_default(),
             recorder: recorder.clone(),
             ..SessionOptions::default()
         };
-        let out = session.match_pair_opts(h1, h2, &options)?;
+        let out = session.try_match_opts(&l1, &l2, &options)?;
         if let Some(c) = out.stats.thread_clamp {
             eprintln!(
                 "ems: note: --threads {} exceeds the host's {} available \

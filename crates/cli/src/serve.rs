@@ -40,8 +40,15 @@ pub fn serve_io(
     input: impl BufRead,
     mut output: impl Write,
 ) -> Result<(), EmsError> {
-    let recorder = Arc::new(Recorder::new());
-    let store = Arc::new(CatalogStore::open(&args.store)?.with_recorder(Arc::clone(&recorder)));
+    // Telemetry is kept only when `--metrics` asks for it: a recorder
+    // holds every record in memory until exit, so an unread one would grow
+    // with traffic for the life of the server.
+    let recorder = args.metrics.is_some().then(|| Arc::new(Recorder::new()));
+    let mut store = CatalogStore::open(&args.store)?;
+    if let Some(r) = &recorder {
+        store = store.with_recorder(Arc::clone(r));
+    }
+    let store = Arc::new(store);
     let params = EmsParams {
         alpha: args.alpha,
         label_measure: if args.exact_labels {
@@ -52,15 +59,16 @@ pub fn serve_io(
         c: args.c,
         ..EmsParams::default()
     };
-    let shared = Arc::new(
-        SharedSession::try_new(params)?
-            .with_min_frequency(args.min_freq)
-            .with_store(Arc::clone(&store))
-            .with_recorder(Arc::clone(&recorder)),
-    );
-    let mut catalog = Catalog::new(shared)
-        .with_store(Arc::clone(&store))
-        .with_recorder(Arc::clone(&recorder));
+    let mut shared = SharedSession::try_new(params)?
+        .with_min_frequency(args.min_freq)
+        .with_store(Arc::clone(&store));
+    if let Some(r) = &recorder {
+        shared = shared.with_recorder(Arc::clone(r));
+    }
+    let mut catalog = Catalog::new(Arc::new(shared)).with_store(Arc::clone(&store));
+    if let Some(r) = &recorder {
+        catalog = catalog.with_recorder(Arc::clone(r));
+    }
     if let Some(budget) = args.byte_budget {
         catalog = catalog.with_byte_budget(budget);
     }
@@ -124,7 +132,7 @@ pub fn serve_io(
         "ems serve: {queries} query(ies) answered; catalog hits {}, misses {}, evictions {}",
         stats.hits, stats.misses, stats.evictions
     );
-    if let Some(path) = &args.metrics {
+    if let (Some(path), Some(recorder)) = (&args.metrics, &recorder) {
         std::fs::write(path, ems_obs::prom::write(&recorder.records()))
             .map_err(|e| EmsError::io(path, e.to_string()))?;
     }
@@ -393,6 +401,36 @@ mod tests {
             assert_eq!(f.get("pruned").and_then(Value::as_u64), Some(0));
             assert_eq!(f.get("evaluated").and_then(Value::as_u64), Some(3));
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn metrics_file_carries_catalog_and_session_counters() {
+        let dir = tmpdir("metrics");
+        let store = populate_store(&dir);
+        let qpath = dir.join("query.xes");
+        write_file(&from_event_log(&query_like_orders()), &qpath).unwrap();
+        let q = qpath.to_string_lossy().into_owned();
+        let input = format!("{{\"log\": \"{q}\"}}\n").repeat(2);
+
+        let plain = run_serve(&serve_args(store.clone()), &input);
+        let metrics = dir.join("serve.prom");
+        let mut args = serve_args(store);
+        args.metrics = Some(metrics.to_string_lossy().into_owned());
+        // Telemetry never changes a response.
+        assert_eq!(run_serve(&args, &input), plain);
+        let prom = std::fs::read_to_string(&metrics).unwrap();
+        for family in [
+            "ems_catalog_",
+            "ems_session_graph_cache",
+            "ems_session_outcome_cache",
+        ] {
+            assert!(
+                prom.lines().any(|l| l.starts_with(family)),
+                "no {family}* sample in:\n{prom}"
+            );
+        }
+        assert!(!prom.contains("ems_shared_"), "{prom}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -24,13 +24,6 @@ pub enum CoreError {
         /// What disagreed (shape, direction or damping constant).
         message: String,
     },
-    /// A [`crate::session::LogHandle`] does not belong to the session.
-    UnknownLog {
-        /// The offending handle's index.
-        handle: u32,
-        /// Number of logs the session has ingested.
-        logs: usize,
-    },
     /// A durable snapshot's payload failed structural validation while
     /// being rehydrated (the envelope checksum passed, the content did
     /// not) — the entry must be quarantined and rebuilt from source.
@@ -72,12 +65,6 @@ impl fmt::Display for CoreError {
             CoreError::SubstrateMismatch { message } => {
                 write!(f, "cached substrate does not fit this run: {message}")
             }
-            CoreError::UnknownLog { handle, logs } => {
-                write!(
-                    f,
-                    "log handle {handle} is unknown (session has {logs} logs)"
-                )
-            }
             CoreError::SnapshotDecode { message } => {
                 write!(f, "snapshot payload failed validation: {message}")
             }
@@ -114,8 +101,7 @@ impl From<CoreError> for ems_error::EmsError {
             },
             e @ (CoreError::LabelShapeMismatch { .. }
             | CoreError::SeedShapeMismatch { .. }
-            | CoreError::SubstrateMismatch { .. }
-            | CoreError::UnknownLog { .. }) => ems_error::EmsError::Input {
+            | CoreError::SubstrateMismatch { .. }) => ems_error::EmsError::Input {
                 message: e.to_string(),
             },
         }

@@ -18,10 +18,10 @@
 //!   Corollary 7) that let the composite matcher abort hopeless candidates;
 //! * `matcher` — the user-facing [`Ems`] API aggregating forward and
 //!   backward similarities (Section 3.6);
-//! * [`session`] — the staged, reusable pipeline: a [`MatchSession`] interns
-//!   labels once, caches dependency graphs and [`substrate`] products by
-//!   content fingerprint, and warm-starts re-matches from prior fixpoints
-//!   (Theorem 1);
+//! * [`shared`] — the staged, reusable pipeline: a [`SharedSession`]
+//!   interns labels once, caches dependency graphs, [`substrate`] products,
+//!   label matrices and outcomes by content fingerprint behind shared
+//!   locks, and warm-starts re-matches from a prior outcome (Theorem 1);
 //! * [`composite`] — SEQ-pattern candidate discovery and the greedy composite
 //!   matcher of Algorithm 2 with both pruning techniques (Section 4);
 //! * [`diagnostics`] — empirical estimation-error bounds, the investigation
@@ -64,7 +64,6 @@ mod matcher;
 pub mod numeric;
 mod params;
 pub mod persist;
-pub mod session;
 pub mod shared;
 mod sim;
 mod sim_sparse;
@@ -75,8 +74,7 @@ pub use engine::{Budget, PhaseTimes, RunOptions, RunStats, ThreadClamp};
 pub use error::CoreError;
 pub use matcher::{Ems, MatchOutcome};
 pub use params::{Aggregation, Direction, EmsParams, LabelMeasure, LabelSpace};
-pub use session::{LogHandle, MatchSession, SessionOptions, SessionStats};
-pub use shared::{SharedSession, SharedStats};
+pub use shared::{SessionOptions, SessionStats, SharedSession};
 pub use sim::SimMatrix;
 pub use sim_sparse::{CsrError, SparseSim};
 pub use substrate::EngineSubstrate;

@@ -295,17 +295,6 @@ impl SparseSim {
             self.nnz() as f64 / total as f64
         }
     }
-
-    /// Raw CSR parts (serialization edge for the persist codec).
-    pub(crate) fn parts(&self) -> (usize, usize, &[usize], &[u32], &[f64]) {
-        (
-            self.rows,
-            self.cols,
-            &self.row_off,
-            &self.col_idx,
-            &self.vals,
-        )
-    }
 }
 
 #[cfg(test)]

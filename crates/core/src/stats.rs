@@ -2,7 +2,7 @@
 //!
 //! These types used to live inside the engine module; they are the *solve*
 //! stage's control and reporting surface, shared by the engine kernels, the
-//! [`crate::session::MatchSession`] and the composite matcher. They are
+//! [`crate::SharedSession`] and the composite matcher. They are
 //! re-exported from [`crate::engine`] for backwards compatibility.
 
 use crate::sim::SimMatrix;
@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 /// Initial state carried into a run — used by the composite matcher to reuse
 /// similarities that Proposition 4 proves unchanged, and by
-/// [`crate::session::MatchSession`] to warm-start re-matches from a prior
+/// [`crate::SharedSession`] to warm-start re-matches from a prior
 /// fixpoint (sound per Theorem 1's monotone unique fixpoint).
 #[derive(Debug, Clone)]
 pub struct Seed {
@@ -124,9 +124,9 @@ pub struct PhaseTimes {
     /// Building the kernel substrate (longest distances, CSR export,
     /// compatibility tables). Attributed exactly once to whoever performed
     /// the build: a standalone [`crate::engine::Engine`] charges it to its
-    /// own runs, while a [`crate::session::MatchSession`] owns the build
+    /// own runs, while a [`crate::SharedSession`] owns the build
     /// and reports it at session level
-    /// ([`crate::session::SessionStats::setup`]) — runs executed against a
+    /// ([`crate::SessionStats::setup`]) — runs executed against a
     /// cached substrate report `setup == 0` here, so merging their stats
     /// never double-counts shared setup work.
     pub setup: Duration,

@@ -6,7 +6,7 @@
 //! (Proposition 2), the CSR neighbor export and the tabulated compatibility
 //! factors of [`PairContext`]. [`EngineSubstrate`] owns that one-off product
 //! so it can outlive any single [`crate::engine::Engine`]: a
-//! [`crate::session::MatchSession`] caches substrates by graph fingerprint
+//! [`crate::SharedSession`] caches substrates by graph fingerprint
 //! and hands them to engines via `Arc`, turning a re-match against an
 //! already-seen graph pair into pure solve work.
 

@@ -1,6 +1,7 @@
-//! Interleaving tests for the engine's two shared-state mechanisms: the
+//! Interleaving tests for the engine's two shared-state mechanisms — the
 //! `Mutex<DenseScratch>` buffer reuse (`try_lock` with local fallback) and
-//! the active-pair worklist's retire-exactly-once accounting.
+//! the active-pair worklist's retire-exactly-once accounting — and for the
+//! `SharedSession` caches hit by plain and bypass calls at once.
 //!
 //! The workspace carries no loom-style model checker (no external deps), so
 //! these are scheduled-interleaving tests in its spirit: many rounds of
@@ -12,11 +13,12 @@
 //! counters must account for every pair exactly once per iteration.
 
 use ems_core::engine::{Budget, Engine, RunOptions, RunStats, Seed};
-use ems_core::{Direction, EmsParams, SimMatrix};
+use ems_core::{Direction, Ems, EmsParams, MatchOutcome, SessionOptions, SharedSession, SimMatrix};
 use ems_depgraph::DependencyGraph;
 use ems_labels::LabelMatrix;
+use ems_obs::Recorder;
 use ems_rng::StdRng;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 fn random_log(rng: &mut StdRng, alphabet: usize) -> ems_events::EventLog {
     let mut log = ems_events::EventLog::new();
@@ -241,4 +243,103 @@ fn worklist_accounting_holds_with_frozen_pairs() {
     );
     let reference = engine.run_reference(&opts);
     assert_same_work(&reference.stats, &out.stats, "frozen-seed run");
+}
+
+/// One session hit from several threads with plain and bypass calls mixed.
+/// Plain calls must return the one-shot [`Ems`] result bit for bit; bypass
+/// calls (an engine recorder, a warm-start prior) must neither read the
+/// outcome cache (each runs its own solves) nor fill it.
+#[test]
+#[cfg_attr(miri, ignore)] // spawns many threads over many rounds; minutes under miri
+fn shared_session_plain_and_bypass_calls_interleave() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 10;
+    // Acyclic logs and an epsilon far below any reachable delta: the warm
+    // run from a converged prior is then bitwise stationary.
+    let mut l1 = ems_events::EventLog::new();
+    l1.push_trace(["cash", "validate", "pack", "ship"]);
+    l1.push_trace(["card", "validate", "ship"]);
+    let mut l2 = ems_events::EventLog::new();
+    l2.push_trace(["e0", "e1", "e2", "e4", "e5"]);
+    l2.push_trace(["e0", "e1", "e3", "e5"]);
+    let params = EmsParams {
+        epsilon: 1e-300,
+        ..EmsParams::structural()
+    };
+    let expected = Ems::new(params.clone()).match_logs(&l1, &l2);
+    let session = SharedSession::try_new(params).expect("params are valid");
+    let check = |out: &MatchOutcome, what: &str| {
+        assert_bitwise(&expected.similarity, &out.similarity, what);
+        assert_bitwise(&expected.forward, &out.forward, what);
+        assert_bitwise(&expected.backward, &out.backward, what);
+    };
+    // An engine recorder that saw records proves the call solved rather
+    // than replaying a cached outcome.
+    let recorded_call = |what: &str| {
+        let recorder = Arc::new(Recorder::new());
+        let options = SessionOptions {
+            recorder: Some(Arc::clone(&recorder)),
+            ..SessionOptions::default()
+        };
+        let out = session.try_match_opts(&l1, &l2, &options).expect(what);
+        assert!(!recorder.records().is_empty(), "{what}: served from cache");
+        check(&out, what);
+    };
+
+    // Phase 1: bypass calls only, all threads at once.
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (barrier, recorded_call) = (&barrier, &recorded_call);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    for _ in 0..((t * round) % 5) {
+                        std::thread::yield_now();
+                    }
+                    recorded_call(&format!("bypass thread {t}, round {round}"));
+                }
+            });
+        }
+    });
+    assert_eq!(session.stats().outcome_cache_hits, 0);
+    // Nothing was memoized: the first plain call still solves.
+    let first = session.try_match(&l1, &l2).expect("plain match");
+    check(&first, "first plain call");
+    assert_eq!(session.stats().outcome_cache_hits, 0);
+
+    // Phase 2: plain calls race recorder and prior bypass calls.
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (barrier, recorded_call, session) = (&barrier, &recorded_call, &session);
+            let (l1, l2, first, check) = (&l1, &l2, &first, &check);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    for _ in 0..((t + round) % 5) {
+                        std::thread::yield_now();
+                    }
+                    let what = format!("thread {t}, round {round}");
+                    match t {
+                        1 => recorded_call(&what),
+                        3 => {
+                            let options = SessionOptions {
+                                prior: Some(first),
+                                ..SessionOptions::default()
+                            };
+                            let out = session.try_match_opts(l1, l2, &options).expect(&what);
+                            // A warm solve, not the cached cold outcome.
+                            assert_eq!(out.stats.iterations, 1, "{what}");
+                            check(&out, &what);
+                        }
+                        _ => check(&session.try_match(l1, l2).expect(&what), &what),
+                    }
+                }
+            });
+        }
+    });
+    let stats = session.stats();
+    // Every plain call hit; no bypass call counted as one.
+    assert_eq!(stats.outcome_cache_hits, 2 * ROUNDS as u64);
+    assert_eq!(stats.warm_starts, ROUNDS as u64);
 }

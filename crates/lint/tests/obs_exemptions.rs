@@ -75,7 +75,7 @@ fn obs_clock_suppressions_are_load_bearing() {
 /// timing sites among them are the solve-phase measurement in
 /// `crates/core/src/engine.rs`, the substrate build timer in
 /// `crates/core/src/substrate.rs` and the session stage timers in
-/// `crates/core/src/session.rs` (all of which feed `RunStats`/
+/// `crates/core/src/shared.rs` (all of which feed `RunStats`/
 /// `SessionStats`/obs spans only), and their suppression reasons must say
 /// the timing stays telemetry-only. Any new suppression elsewhere fails
 /// this test and forces a review.
@@ -118,7 +118,7 @@ fn similarity_crates_never_read_the_clock() {
         suppressing_files,
         vec![
             "crates/core/src/engine.rs".to_string(),
-            "crates/core/src/session.rs".to_string(),
+            "crates/core/src/shared.rs".to_string(),
             "crates/core/src/substrate.rs".to_string(),
         ],
         "only the engine/substrate/session phase timing may suppress the \

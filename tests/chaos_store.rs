@@ -13,7 +13,7 @@
 //!   recovery pass leaves a clean store that disk-warms the next session.
 
 use ems_rng::StdRng;
-use event_matching::core::{CoreError, EmsParams, MatchOutcome, MatchSession, SessionOptions};
+use event_matching::core::{CoreError, EmsParams, MatchOutcome, SessionOptions, SharedSession};
 use event_matching::events::EventLog;
 use event_matching::faults::{FaultInjector, FaultPlan};
 use event_matching::store::{CatalogStore, EntryStatus};
@@ -45,10 +45,11 @@ fn logs() -> (EventLog, EventLog) {
 /// recovery must reproduce bit-for-bit.
 fn baseline() -> MatchOutcome {
     let (l1, l2) = logs();
-    let mut session = MatchSession::new(EmsParams::structural());
-    let h1 = session.ingest(l1);
-    let h2 = session.ingest(l2);
-    session.match_pair(h1, h2).expect("clean run")
+    session().try_match(&l1, &l2).expect("clean run")
+}
+
+fn session() -> SharedSession {
+    SharedSession::try_new(EmsParams::structural()).expect("params are valid")
 }
 
 fn assert_bit_identical(out: &MatchOutcome, want: &MatchOutcome) {
@@ -65,26 +66,25 @@ fn faulted_match(root: &Path, injector: Arc<FaultInjector>) -> Result<MatchOutco
             message: e.to_string(),
         })?
         .with_injector(Arc::clone(&injector));
-    let mut session = MatchSession::new(EmsParams::structural()).with_store(Arc::new(store));
     let (l1, l2) = logs();
-    let h1 = session.ingest(l1);
-    let h2 = session.ingest(l2);
     let options = SessionOptions {
         injector: Some(injector),
         ..SessionOptions::default()
     };
-    session.match_pair_opts(h1, h2, &options)
+    session()
+        .with_store(Arc::new(store))
+        .try_match_opts(&l1, &l2, &options)
 }
 
 /// Fault-free store-backed match, returning the outcome and the session
 /// for stats inspection.
-fn clean_match(root: &Path) -> (MatchOutcome, MatchSession) {
+fn clean_match(root: &Path) -> (MatchOutcome, SharedSession) {
     let store = CatalogStore::open(root).expect("reopen store");
-    let mut session = MatchSession::new(EmsParams::structural()).with_store(Arc::new(store));
+    let session = session().with_store(Arc::new(store));
     let (l1, l2) = logs();
-    let h1 = session.ingest(l1);
-    let h2 = session.ingest(l2);
-    let out = session.match_pair(h1, h2).expect("fault-free recovery run");
+    let out = session
+        .try_match(&l1, &l2)
+        .expect("fault-free recovery run");
     (out, session)
 }
 
@@ -298,16 +298,13 @@ fn catalog_corpus() -> (Vec<EventLog>, Vec<EventLog>) {
 #[test]
 fn catalog_eviction_reload_faults_never_change_rankings() {
     use event_matching::catalog::Catalog;
-    use event_matching::core::SharedSession;
 
     let (refs, queries) = catalog_corpus();
 
     // Clean oracle: no store, unlimited budget, pruning off — the exact
     // brute-force ranking with scores.
     let clean: Vec<Vec<(String, f64)>> = {
-        let shared =
-            Arc::new(SharedSession::try_new(EmsParams::structural()).expect("params are valid"));
-        let mut catalog = Catalog::new(shared);
+        let mut catalog = Catalog::new(Arc::new(session()));
         for (i, log) in refs.iter().enumerate() {
             catalog.add(format!("ref-{i}"), log.clone());
         }
@@ -333,11 +330,7 @@ fn catalog_eviction_reload_faults_never_change_rankings() {
         let store = CatalogStore::open(&root)
             .expect("open store")
             .with_injector(Arc::clone(&injector));
-        let shared = Arc::new(
-            SharedSession::try_new(EmsParams::structural())
-                .expect("params are valid")
-                .with_store(Arc::new(store)),
-        );
+        let shared = Arc::new(session().with_store(Arc::new(store)));
         // A 1-byte budget evicts every pin immediately: each reference
         // access is a cold reload under whatever faults the plan holds.
         let mut catalog = Catalog::new(shared).with_byte_budget(1);

@@ -1,5 +1,5 @@
-//! PR5 acceptance: the staged [`MatchSession`] pipeline is a pure
-//! optimization — caching and warm-starting change *work*, never *results*.
+//! The staged [`SharedSession`] pipeline is a pure optimization — caching
+//! and warm-starting change *work*, never *results*.
 //!
 //! On an acyclic corpus (every pair has a finite Proposition-2 horizon) with
 //! an epsilon small enough that the exact phase runs every pair to its
@@ -11,11 +11,11 @@
 //! 2. a cached re-match skips graph, substrate and label construction
 //!    (proved by the session recorder's cache counters and stage spans) yet
 //!    reproduces the similarity and the redacted engine trace byte for byte;
-//! 3. a warm-started re-match seeds from the prior fixpoint, converges in
+//! 3. a re-match warm-started from the cached run's outcome converges in
 //!    exactly one iteration per direction (Theorem 1: re-evaluating the
 //!    fixpoint is stationary), and yields the bit-identical matrix.
 
-use ems_core::{Ems, EmsParams, MatchOutcome, MatchSession, RunOptions, SessionOptions};
+use ems_core::{Ems, EmsParams, MatchOutcome, RunOptions, SessionOptions, SharedSession};
 use ems_depgraph::DependencyGraph;
 use ems_events::EventLog;
 use ems_obs::{jsonl, Record, Recorder};
@@ -85,25 +85,24 @@ struct SessionRun {
 
 /// Runs cold, cached and warm through one session; each call gets a fresh
 /// engine recorder (so traces are byte-comparable) while the session
-/// recorder accumulates stage/cache telemetry across all three.
-fn session_runs(threads: usize) -> (Vec<SessionRun>, Arc<Recorder>, MatchSession) {
+/// recorder accumulates stage/cache telemetry across all three. The warm
+/// run takes the previous run's outcome as its prior.
+fn session_runs(threads: usize) -> (Vec<SessionRun>, Arc<Recorder>, SharedSession) {
     let (l1, l2) = corpus();
     let session_rec = Arc::new(Recorder::new());
-    let mut session = MatchSession::try_new(exact_params(threads))
+    let session = SharedSession::try_new(exact_params(threads))
         .expect("params are valid")
         .with_recorder(Arc::clone(&session_rec));
-    let h1 = session.ingest(l1);
-    let h2 = session.ingest(l2);
-    let mut runs = Vec::new();
+    let mut runs: Vec<SessionRun> = Vec::new();
     for warm_start in [false, false, true] {
         let engine_rec = Arc::new(Recorder::new());
         let options = SessionOptions {
-            warm_start,
+            prior: runs.last().filter(|_| warm_start).map(|r| &r.outcome),
             recorder: Some(Arc::clone(&engine_rec)),
             ..SessionOptions::default()
         };
         let outcome = session
-            .match_pair_opts(h1, h2, &options)
+            .try_match_opts(&l1, &l2, &options)
             .expect("session match succeeds");
         runs.push(SessionRun {
             outcome,
