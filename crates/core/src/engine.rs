@@ -8,12 +8,18 @@
 //! * [`Engine::try_run`] — the production kernel: a precomputed
 //!   [`PairContext`] substrate (CSR neighbors + tabulated compatibility
 //!   factors), an active-pair worklist that retires converged/frozen pairs
-//!   once instead of re-testing them every round, and row-sharded parallel
-//!   iteration gated by the `threads` knob ([`EmsParams::threads`] /
-//!   [`RunOptions::threads`]). Results are bit-identical for every thread
-//!   count: the update is a Jacobi step reading only the previous matrix,
-//!   the delta reduction is an exact `f64::max`, and the work counters are
-//!   integers (see `kernel` module docs for the full argument).
+//!   once instead of re-testing them every round, and column-blocked
+//!   parallel iteration gated by the `threads` knob
+//!   ([`EmsParams::threads`] / [`RunOptions::threads`]). A persistent pool
+//!   of that many members (fewer on small worklists) splits each iteration
+//!   into blocks of side-2 columns; every member fills its block of the
+//!   dense tables and evaluates its block's pairs. The retirement scan,
+//!   the per-pair substrates' transpose or CSR build, the scatter into the
+//!   next iterate and the telemetry stay serial. Results are bit-identical
+//!   for every thread count: the update is a Jacobi step reading only the
+//!   previous matrix, the delta reduction is an exact `f64::max`, and the
+//!   work counters are integers (see `kernel` module docs for the full
+//!   argument).
 //! * [`Engine::try_run_reference`] — the original single-threaded seed
 //!   kernel, kept verbatim as the differential-testing oracle and the
 //!   benchmark baseline.
@@ -22,8 +28,8 @@ use crate::bounds::pair_upper_bound;
 use crate::error::CoreError;
 use crate::estimate::extrapolate;
 use crate::kernel::{
-    eval_chunk, resolve_threads, transpose_into, ActivePair, DenseScratch, PairContext, PairEval,
-    H_INFINITE,
+    block_pairs, eval_chunk, resolve_threads, transpose_into, ActivePair, DenseScratch,
+    PairContext, PairEval, H_INFINITE,
 };
 use crate::numeric::NeumaierSum;
 use crate::params::{Direction, EmsParams};
@@ -41,39 +47,47 @@ use std::time::{Duration, Instant};
 
 pub use crate::stats::{Budget, PhaseTimes, RunOptions, RunOutput, RunStats, Seed, ThreadClamp};
 
-/// Size-aware shard granularity: a parallel shard never covers fewer than
-/// this many active pairs. Below the floor an iteration uses fewer shards
-/// (down to one, i.e. fully serial) — synchronization overhead would
-/// otherwise dominate the update.
+/// Size-aware block count: an iteration uses at most one column block per
+/// this many active pairs, so small worklists use fewer blocks (down to
+/// one, i.e. fully serial) — the barrier round trip would otherwise
+/// dominate the update.
 const PAIRS_PER_SHARD_FLOOR: usize = 4096;
 
 /// Shared per-iteration state of the persistent worker pool — everything a
-/// shard evaluation reads, behind one `RwLock`. The main thread holds the
+/// block evaluation reads, behind one `RwLock`. The main thread holds the
 /// write lock through an iteration's serial sections (retirement,
-/// substrate refresh, scatter, swap) and releases it only for the
+/// per-pair substrate refresh, scatter, swap) and releases it only for the
 /// evaluation window, during which every pool member — main included —
-/// takes a read lock and evaluates its own shard.
+/// takes a read lock and fills and evaluates its own column block.
 struct PoolState {
     /// The iterate being read as `prev` during an evaluation window (the
     /// swap with `next` happens under the write lock).
     current: SimMatrix,
     /// Active-pair worklist, ascending in `k` and shrink-only.
     work: Vec<ActivePair>,
-    /// Dense-substrate buffers (the evaluation input when `use_dense`).
-    scratch: DenseScratch,
-    /// Transposed `prev` for the sparse path (when `!use_dense` and no
-    /// CSR substrate was built).
+    /// Transposed `prev` for the sparse path (read when the substrate is
+    /// [`IterSubstrate::Transposed`]).
     prev_t: Vec<f64>,
-    /// CSR of the transposed `prev` — the post-warm-up substrate of
-    /// δ-sparsified runs ([`EmsParams::sparse_delta`]). Always built at
-    /// `δ = 0` from the already-sparsified `current`, so reading it is
-    /// bit-identical to reading the dense transpose.
-    csr: Option<SparseSim>,
-    /// Which evaluation substrate this iteration's shards read.
-    use_dense: bool,
-    /// Shard layout of the current evaluation window.
-    chunk_size: usize,
-    shards: usize,
+    /// Which evaluation substrate this iteration's blocks read.
+    substrate: IterSubstrate,
+    /// Column-block boundaries of the current window: pool member `w`
+    /// owns side-2 nodes `bounds[w]..bounds[w + 1]`.
+    bounds: Vec<usize>,
+}
+
+/// The per-iteration evaluation substrate (see the `kernel` module docs).
+enum IterSubstrate {
+    /// Each member fills its column block of the dense inner maxima, then
+    /// consumes it; `zero` marks an all-zero `prev`.
+    Dense { zero: bool },
+    /// Per-pair scans over `prev` and [`PoolState::prev_t`].
+    Transposed,
+    /// Per-pair scans over a CSR of the transposed `prev` — the
+    /// post-warm-up substrate of δ-sparsified runs
+    /// ([`EmsParams::sparse_delta`]). Always built at `δ = 0` from the
+    /// already-sparsified `current`, so reading it is bit-identical to
+    /// reading the dense transpose.
+    Csr(SparseSim),
 }
 
 /// Deterministic per-run histogram accumulator, shared by both kernels so
@@ -83,7 +97,7 @@ struct PoolState {
 /// the per-iteration [`IterationRecord`]s carry (max delta, worklist size,
 /// δ-dropped pairs) — bit-identical across the reference kernel, the
 /// serial worklist kernel, and every pooled thread count. `shard_pairs`
-/// tallies the evaluation shards *as actually executed* and therefore
+/// tallies the column blocks' pairs *as actually executed* and therefore
 /// depends on the thread count; it is classified non-deterministic, so
 /// redacted exports zero its contents while keeping the record in place.
 struct RunProfile {
@@ -115,7 +129,7 @@ impl RunProfile {
         self.sparse_dropped.observe(dropped);
     }
 
-    /// One evaluation shard as scheduled: the pairs it covered.
+    /// One column block as scheduled: the pairs it covered.
     fn observe_shard(&mut self, pairs: u64) {
         self.shard_pairs.observe(pairs);
     }
@@ -147,56 +161,64 @@ fn finish_run_scope(scope: Option<ProfScope<'_>>, stats: &RunStats, n1: usize, n
     scope.finish();
 }
 
-/// One pool member's private output slot: the shard's new values, its max
-/// delta, and a captured panic payload re-raised on the main thread.
+/// One pool member's private slot: its column block's dense buffers, the
+/// block's pair indices and new values, its max delta, and a captured
+/// panic payload re-raised on the main thread.
 #[derive(Default)]
 struct PoolSlot {
+    scratch: DenseScratch,
+    ks: Vec<u32>,
     buf: Vec<f64>,
     delta: f64,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-/// Evaluates pool member `w`'s shard of the current window into `buf`,
-/// returning the shard's max delta. Members beyond the window's shard
+/// Evaluates pool member `w`'s column block of the current window: fills
+/// the block's dense tables when the iteration is dense, then evaluates
+/// the active pairs whose side-2 node lies in the block into the slot,
+/// returning the block's max delta. Members beyond the window's block
 /// count have nothing to do this round.
-fn eval_shard(
+fn eval_block(
     ctx: &PairContext,
     labels: &LabelMatrix,
     alpha: f64,
     st: &PoolState,
     w: usize,
-    buf: &mut Vec<f64>,
+    slot: &mut PoolSlot,
 ) -> f64 {
-    let start = w * st.chunk_size;
-    if w >= st.shards || start >= st.work.len() {
+    let PoolSlot {
+        scratch, ks, buf, ..
+    } = slot;
+    let Some(&[start, end]) = st.bounds.get(w..w + 2) else {
+        ks.clear();
         buf.clear();
         return 0.0;
-    }
-    let end = (start + st.chunk_size).min(st.work.len());
-    let eval = if st.use_dense {
-        st.scratch.as_eval()
-    } else if let Some(csr) = &st.csr {
-        PairEval::Csr { prev_t: csr }
-    } else {
-        PairEval::Sparse { prev_t: &st.prev_t }
     };
-    eval_chunk(
-        ctx,
-        st.current.data(),
-        &eval,
-        labels,
-        alpha,
-        &st.work[start..end],
-        buf,
-    )
+    let prev = st.current.data();
+    block_pairs(&st.work, st.current.cols(), start..end, ks);
+    match &st.substrate {
+        IterSubstrate::Dense { zero } => {
+            ctx.fill_block(prev, *zero, start..end, scratch);
+            ctx.eval_chunk_dense(prev, scratch, labels, alpha, ks, buf)
+        }
+        IterSubstrate::Transposed => {
+            let eval = PairEval::Sparse { prev_t: &st.prev_t };
+            eval_chunk(ctx, prev, &eval, labels, alpha, ks, buf)
+        }
+        IterSubstrate::Csr(csr) => {
+            let eval = PairEval::Csr { prev_t: csr };
+            eval_chunk(ctx, prev, &eval, labels, alpha, ks, buf)
+        }
+    }
 }
 
 /// One pool member's work inside an evaluation window: read-lock the
-/// state, evaluate the member's shard into its slot. Panics are captured
-/// into the slot instead of unwinding — a pool member that blew through a
-/// barrier would deadlock the others, so the main thread re-raises the
-/// payload after the window closes.
-fn run_shard(
+/// state, lock the member's slot, evaluate its block into the slot.
+/// Panics are captured into the slot instead of unwinding — a pool member
+/// that blew through a barrier would deadlock the others, so the main
+/// thread re-raises the payload after the window closes. Every lock
+/// nesting in this file takes the state before a slot.
+fn run_block(
     state: &RwLock<PoolState>,
     slot: &Mutex<PoolSlot>,
     ctx: &PairContext,
@@ -204,20 +226,19 @@ fn run_shard(
     alpha: f64,
     w: usize,
 ) {
+    let st = state.read().unwrap_or_else(|e| e.into_inner());
     let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-    let PoolSlot { buf, delta, panic } = &mut *guard;
+    let slot = &mut *guard;
     match catch_unwind(AssertUnwindSafe(|| {
-        // ems-lint: allow(lock-discipline, slot->state nesting is safe: phases are barrier-separated, so the coordinator's state->slot nesting in try_run never runs concurrently with a shard)
-        let st = state.read().unwrap_or_else(|e| e.into_inner());
-        eval_shard(ctx, labels, alpha, &st, w, buf)
+        eval_block(ctx, labels, alpha, &st, w, slot)
     })) {
         Ok(d) => {
-            *delta = d;
-            *panic = None;
+            slot.delta = d;
+            slot.panic = None;
         }
         Err(p) => {
-            *delta = 0.0;
-            *panic = Some(p);
+            slot.delta = 0.0;
+            slot.panic = Some(p);
         }
     }
 }
@@ -238,11 +259,12 @@ pub struct Engine<'a> {
     params: &'a EmsParams,
     direction: Direction,
     substrate: Arc<EngineSubstrate>,
-    /// Dense-substrate buffers, retained across runs so repeated runs
-    /// (sweeps, benchmarks) skip the 2×`L·n` allocation and page-fault
-    /// cost. `try_lock` with a local fallback — concurrent runs on one
-    /// engine stay correct, the loser just allocates fresh.
-    scratch: Mutex<DenseScratch>,
+    /// Dense-substrate column-block buffers, one per pool member,
+    /// retained across runs so repeated runs (sweeps, benchmarks) skip the
+    /// 2×`L·n` allocation and page-fault cost. `try_lock` with a local
+    /// fallback — concurrent runs on one engine stay correct, the loser
+    /// just allocates fresh.
+    scratch: Mutex<Vec<DenseScratch>>,
     /// Setup time charged to this engine's runs: the substrate build time
     /// when this engine performed the build, zero when it received a cached
     /// substrate (the cache owner attributes the build once — see
@@ -293,7 +315,7 @@ impl<'a> Engine<'a> {
             params,
             direction,
             substrate,
-            scratch: Mutex::new(DenseScratch::default()),
+            scratch: Mutex::new(Vec::new()),
             charged_setup,
         })
     }
@@ -350,7 +372,7 @@ impl<'a> Engine<'a> {
             params,
             direction,
             substrate,
-            scratch: Mutex::new(DenseScratch::default()),
+            scratch: Mutex::new(Vec::new()),
             charged_setup: Duration::ZERO,
         })
     }
@@ -547,8 +569,8 @@ impl<'a> Engine<'a> {
     /// [`CoreError::SeedShapeMismatch`] instead of panicking.
     ///
     /// This is the production kernel: precomputed [`PairContext`], active-
-    /// pair worklist, and (for `threads > 1`) row-sharded parallel updates
-    /// with results bit-identical to the serial path.
+    /// pair worklist, and (for `threads > 1`) column-blocked parallel
+    /// updates with results bit-identical to the serial path.
     pub fn try_run(&self, options: &RunOptions) -> Result<RunOutput, CoreError> {
         let n1 = self.g1.num_real();
         let n2 = self.g2.num_real();
@@ -663,44 +685,47 @@ impl<'a> Engine<'a> {
                     .iter()
                     .all(|v| v.is_finite() && v.is_sign_positive())
             });
-        // Dense-substrate buffers persist on the engine across runs; a
-        // concurrent run on the same engine loses the `try_lock` race and
+        // Dense-substrate block buffers persist on the engine across runs;
+        // a concurrent run on the same engine loses the `try_lock` race and
         // works with (and discards) a fresh local set.
         let mut scratch_guard = self.scratch.try_lock();
-        let scratch_taken = match scratch_guard {
+        let mut retained = match scratch_guard {
             Ok(ref mut g) => std::mem::take(&mut **g),
-            Err(_) => DenseScratch::default(),
-        };
+            Err(_) => Vec::new(),
+        }
+        .into_iter();
         // The unseeded initial matrix is all zeros, so the first fill's
         // products are all zero — the substrate can be zeroed wholesale.
         let mut prev_known_zero = options.seed.is_none();
 
         // Persistent worker pool, spawned once around the whole iteration
-        // loop (the seed of this module respawned scoped threads every
-        // iteration). Sized by the largest shard count any iteration can
-        // use — worklists only shrink, so `pool` never under-provisions.
+        // loop. Sized by the largest block count any iteration can use —
+        // worklists only shrink, so `pool` never under-provisions.
         // Protocol per parallel iteration: the main thread publishes the
         // iteration state (release the write lock), crosses the start
-        // barrier, evaluates its own shard, crosses the finish barrier,
-        // and re-acquires the write lock to scatter. Serial iterations
-        // never touch the barriers — workers stay parked at the start
-        // barrier. Shutdown raises `done` and crosses the start barrier
-        // one final time.
+        // barrier, fills and evaluates its own column block, crosses the
+        // finish barrier, and re-acquires the write lock to scatter.
+        // Serial iterations never touch the barriers — workers stay parked
+        // at the start barrier. Shutdown raises `done` and crosses the
+        // start barrier one final time.
         let pool = threads
             .min(work.len().div_ceil(PAIRS_PER_SHARD_FLOOR))
             .max(1);
         let state = RwLock::new(PoolState {
             current,
             work,
-            scratch: scratch_taken,
             prev_t: Vec::new(),
-            csr: None,
-            use_dense: false,
-            chunk_size: 0,
-            shards: 1,
+            substrate: IterSubstrate::Transposed,
+            bounds: Vec::new(),
         });
-        let slots: Vec<Mutex<PoolSlot>> =
-            (0..pool).map(|_| Mutex::new(PoolSlot::default())).collect();
+        let slots: Vec<Mutex<PoolSlot>> = (0..pool)
+            .map(|_| {
+                Mutex::new(PoolSlot {
+                    scratch: retained.next().unwrap_or_default(),
+                    ..PoolSlot::default()
+                })
+            })
+            .collect();
         let barrier = Barrier::new(pool);
         let done = AtomicBool::new(false);
         let ctx = &self.substrate.ctx;
@@ -716,7 +741,7 @@ impl<'a> Engine<'a> {
                     if done.load(Ordering::Acquire) {
                         break;
                     }
-                    run_shard(state, slot, ctx, labels, alpha, w);
+                    run_block(state, slot, ctx, labels, alpha, w);
                     barrier.wait();
                 });
             }
@@ -823,94 +848,80 @@ impl<'a> Engine<'a> {
                     // Pick the substrate: materializing the dense inner
                     // maxima costs one full candidate sweep, so it only
                     // pays while the worklist still covers a sizable
-                    // fraction of the grid.
+                    // fraction of the grid. The dense fill itself runs
+                    // inside the evaluation window, one column block per
+                    // pool member.
                     {
                         let stm = &mut *st;
                         let sparse_mode = p.sparse_delta.is_some() && i > p.sparse_warmup;
-                        if sparse_mode {
+                        stm.substrate = if sparse_mode {
                             // Post-warm-up CSR substrate: the dropped
                             // pairs are exact zeros in `current`, so the
                             // δ=0 build is a lossless compression — the
                             // evaluation stays bit-identical to the dense
                             // transpose while the working set shrinks to
                             // O(nnz).
-                            let csr = SparseSim::from_dense_transposed(&stm.current, 0.0);
-                            stm.csr = Some(csr);
-                            stm.use_dense = false;
+                            IterSubstrate::Csr(SparseSim::from_dense_transposed(&stm.current, 0.0))
                         } else if dense_available && stm.work.len() * 4 >= n1 * n2 {
-                            if prev_known_zero {
-                                ctx.dense_fill_zero(&mut stm.scratch);
-                            } else {
-                                ctx.dense_fill(stm.current.data(), &mut stm.scratch);
+                            IterSubstrate::Dense {
+                                zero: prev_known_zero,
                             }
-                            stm.use_dense = true;
-                            stm.csr = None;
                         } else {
                             stm.prev_t.resize(n1 * n2, 0.0);
                             transpose_into(stm.current.data(), n1, n2, &mut stm.prev_t);
-                            stm.use_dense = false;
-                            stm.csr = None;
-                        }
-                        // Size-aware shard granularity: never split below
-                        // the pairs-per-shard floor.
-                        let shards = pool
+                            IterSubstrate::Transposed
+                        };
+                        // Size-aware block count: never split below the
+                        // pairs-per-shard floor.
+                        let blocks = pool
                             .min(stm.work.len().div_ceil(PAIRS_PER_SHARD_FLOOR))
                             .max(1);
-                        stm.shards = shards;
-                        stm.chunk_size = stm.work.len().div_ceil(shards).max(1);
-                        if let Some(pr) = profile.as_mut() {
-                            // As-scheduled shard layout — thread-count
-                            // dependent, hence the exec histogram class.
-                            let len = stm.work.len();
-                            for w in 0..shards {
-                                let start = w * stm.chunk_size;
-                                let end = (start + stm.chunk_size).min(len);
-                                pr.observe_shard((end - start) as u64);
-                            }
+                        ctx.column_blocks(blocks, &mut stm.bounds);
+                        // Worklists only shrink, so members past the block
+                        // count stay idle for the rest of the run: release
+                        // their buffers before the remaining blocks grow.
+                        for slot in &slots[blocks..] {
+                            *slot.lock().unwrap_or_else(|e| e.into_inner()) = PoolSlot::default();
                         }
                     }
-                    let shards = st.shards;
-                    let chunk_size = st.chunk_size;
-                    stats.pool_shards = stats.pool_shards.max(shards as u64);
-                    let delta = if shards <= 1 {
+                    let blocks = st.bounds.len() - 1;
+                    stats.pool_shards = stats.pool_shards.max(blocks as u64);
+                    if blocks <= 1 {
                         // Serial window under the write lock: the whole
-                        // worklist is shard 0 of a one-shard layout.
-                        // ems-lint: allow(lock-discipline, state->slot nesting is safe: workers are parked at the barrier during the coordinator's serial window, so run_shard's slot->state nesting cannot interleave)
+                        // grid is block 0 of a one-block layout.
                         let mut guard0 = slots[0].lock().unwrap_or_else(|e| e.into_inner());
-                        let PoolSlot { buf, .. } = &mut *guard0;
-                        let d = eval_shard(ctx, labels, alpha, &st, 0, buf);
-                        let next_data = next.data_mut();
-                        for (ap, &value) in st.work.iter().zip(buf.iter()) {
-                            next_data[ap.k as usize] = value;
-                        }
-                        d
+                        let slot0 = &mut *guard0;
+                        slot0.delta = eval_block(ctx, labels, alpha, &st, 0, slot0);
                     } else {
-                        // Parallel window. Each member writes a private
-                        // slot; the scatter below is serial, so no two
-                        // members ever share a destination. Determinism:
-                        // per-pair values depend only on `prev`, and the
-                        // delta reduction is an exact max.
+                        // Parallel window. Each member fills and reads
+                        // only its own block and writes a private slot.
                         drop(st);
                         barrier.wait();
-                        run_shard(&state, &slots[0], ctx, labels, alpha, 0);
+                        run_block(&state, &slots[0], ctx, labels, alpha, 0);
                         barrier.wait();
                         st = state.write().unwrap_or_else(|e| e.into_inner());
-                        let next_data = next.data_mut();
-                        let mut delta = 0.0_f64;
-                        for (w, slot) in slots.iter().take(shards).enumerate() {
-                            let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-                            if let Some(payload) = guard.panic.take() {
-                                resume_unwind(payload);
-                            }
-                            delta = delta.max(guard.delta);
-                            let start = w * chunk_size;
-                            let end = (start + chunk_size).min(st.work.len());
-                            for (ap, &value) in st.work[start..end].iter().zip(guard.buf.iter()) {
-                                next_data[ap.k as usize] = value;
-                            }
+                    }
+                    // The scatter is serial, so no two members ever share
+                    // a destination. Determinism: per-pair values depend
+                    // only on `prev`, and the delta reduction is an exact
+                    // max.
+                    let next_data = next.data_mut();
+                    let mut delta = 0.0_f64;
+                    for slot in slots.iter().take(blocks) {
+                        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+                        if let Some(payload) = guard.panic.take() {
+                            resume_unwind(payload);
                         }
-                        delta
-                    };
+                        delta = delta.max(guard.delta);
+                        for (&k, &value) in guard.ks.iter().zip(&guard.buf) {
+                            next_data[k as usize] = value;
+                        }
+                        if let Some(pr) = profile.as_mut() {
+                            // As-scheduled block sizes — thread-count
+                            // dependent, hence the exec histogram class.
+                            pr.observe_shard(guard.ks.len() as u64);
+                        }
+                    }
 
                     std::mem::swap(&mut st.current, &mut next);
                     stats.iterations = i;
@@ -999,13 +1010,15 @@ impl<'a> Engine<'a> {
         if let Some(payload) = main_panic {
             resume_unwind(payload);
         }
-        let PoolState {
-            mut current,
-            scratch: scratch_back,
-            ..
-        } = state.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mut current = state
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .current;
         if let Ok(ref mut g) = scratch_guard {
-            **g = scratch_back;
+            **g = slots
+                .into_iter()
+                .map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner()).scratch)
+                .collect();
         }
 
         if stats.aborted {

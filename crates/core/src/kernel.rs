@@ -1,5 +1,5 @@
 //! The precomputation-backed fixpoint kernel: `PairContext`, the
-//! active-pair worklist, and the sharded parallel update.
+//! active-pair worklist, and the column-blocked parallel update.
 //!
 //! The seed implementation of formula (1) re-derived everything inside the
 //! innermost loop: neighbor lists were walked through `NodeId` indirection,
@@ -18,20 +18,31 @@
 //! 2. **Per-iteration evaluation substrates** chosen by worklist density:
 //!    - *Dense* ([`DenseScratch`]): when most pairs are still active, the
 //!      per-outer-lane inner maxima `T[lane][node] = max C·S_prev` are
-//!      materialized in two streaming passes (each keeps one `prev` row
-//!      and the class table cache-hot), and a pair evaluation collapses
+//!      materialized in one streaming pass (each source's `prev` row and
+//!      the class table stay cache-hot), and a pair evaluation collapses
 //!      to summing `deg` table lookups. Total candidate count is the same
 //!      as the pairwise scan — the win is locality, every access hits a
 //!      recently-touched line.
 //!    - *Sparse*: when retirement has thinned the worklist, pairs are
 //!      evaluated individually; a transposed copy of `prev` keeps the
 //!      swapped scan orientation stride-1.
-//! 3. **Active-pair worklist** (owned by the engine): pairs past their
-//!    Proposition-2 horizon or frozen by Proposition 4 are retired *once*
-//!    instead of being re-tested by full-grid scans every round, and
-//!    [`eval_chunk`] shards the surviving pairs across threads. A chunk
-//!    reads only the previous iteration's matrix (Jacobi step) and writes
-//!    a private output buffer, so the update is order-independent.
+//! 3. **Active-pair worklist and column blocks** (owned by the engine):
+//!    pairs past their Proposition-2 horizon or frozen by Proposition 4 are
+//!    retired *once* instead of being re-tested by full-grid scans every
+//!    round. Each iteration cuts the side-2 nodes into contiguous column
+//!    blocks ([`PairContext::column_blocks`]), one per pool member. A
+//!    member fills its block of the dense tables
+//!    ([`PairContext::fill_block`]) and evaluates the surviving pairs whose
+//!    `v2` lies in the block ([`block_pairs`], then
+//!    [`PairContext::eval_chunk_dense`] or [`eval_chunk`]). A pair reads
+//!    the dense tables only at its own column and that column's lanes, so
+//!    a member reads and writes nothing but its own block, the shared
+//!    previous matrix (Jacobi step) and a private output buffer; the
+//!    update is order-independent. The serial path is the one-block case
+//!    of the same code. What stays serial in the engine is the
+//!    retirement scan, the per-pair substrates' transpose or CSR build,
+//!    the scatter of block outputs into the next iterate, and the
+//!    telemetry.
 //!
 //! Determinism argument, in full: the compatibility factors are computed
 //! by the same expression on the same inputs whether tabulated or derived
@@ -41,16 +52,21 @@
 //! and the candidates are compared in the same adjacency order; the
 //! per-outer-neighbor summation order follows the original adjacency order
 //! preserved by the CSR; the transposed matrix holds exact copies; and the
-//! artificial-event candidate joins the max commutatively. Every
+//! artificial-event candidate joins the max commutatively. A column block
+//! restricts the fill to its own lanes and nodes without changing any
+//! table element's operands or their order (blocks end on node
+//! boundaries, so every segmented max stays inside one block). Every
 //! floating-point operation therefore sees bit-identical operands in
-//! bit-identical order regardless of substrate or sharding, so results are
-//! bit-identical for every thread count and density threshold.
+//! bit-identical order regardless of substrate or block layout, so results
+//! are bit-identical for every thread count and density threshold.
 
 use crate::sim_sparse::SparseSim;
 use crate::stats::ThreadClamp;
 use ems_depgraph::{NeighborCsr, ARTIFICIAL_ENTRY};
 use ems_labels::LabelMatrix;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Cap on precomputed compatibility-table entries *per table*. Frequency
 /// classes keep real tables thousands of entries at most; the cap only
@@ -62,6 +78,15 @@ const MAX_COMPAT_ENTRIES: usize = 16 << 20;
 /// maxima, 8 bytes each — 32 M entries is 256 MB). Grids too large for
 /// the dense substrate use the sparse per-pair path at every density.
 const MAX_DENSE_ENTRIES: usize = 32 << 20;
+
+/// Column-block balance: a side-2 node weighs its lane count plus this
+/// many. A block's fill and consume cost one unit per side-1 lane for each
+/// of the block's lanes (pass A, the `s21` lookups) and a few per side-1
+/// lane for each of its nodes (pass B's segmented max, the `s12` sum, the
+/// per-pair blend). On the 400-activity benchmark pair a weight of 1 left
+/// the last of two blocks 20–30% slower than the first; 4 brings the gap
+/// to about 10%. The weight moves only the block edges, never a result.
+const BLOCK_NODE_WEIGHT: usize = 4;
 
 /// Fixed unroll width of the kernel's vector lanes: `[f64; 8]` blocks are
 /// one or two SIMD registers on every mainstream target, wide enough to
@@ -155,20 +180,31 @@ fn frequency_classes(freqs: &[f64]) -> (Vec<u32>, Vec<f64>) {
     (lanes, classes)
 }
 
-/// Reusable buffers of the dense evaluation substrate: the inner maxima
-/// per (outer lane, opposite node), refreshed from `prev` each iteration.
+/// One column block's share of the dense evaluation substrate: the inner
+/// maxima restricted to a contiguous range of side-2 nodes `cols` (whose
+/// lanes are `lanes`), refreshed from `prev` each iteration. A pair
+/// `(v1, v2)` reads `t12` only at column `v2` and `t21` only at `v2`'s own
+/// lanes, so a block holds everything its pairs' evaluations read, and the
+/// blocks of one iteration partition the whole-grid tables without
+/// copying them.
 #[derive(Debug, Default)]
 pub(crate) struct DenseScratch {
-    /// `t12[e1 · n2 + v2] = max over inner lanes i of v2 of
-    /// C(f(e1), f(i)) · S_prev(src(e1), src(i))` — the per-outer-lane best
-    /// for the `s(v1, v2)` orientation, laid out so a row-major pair walk
-    /// streams each lane row sequentially.
+    /// Side-2 nodes covered by the last fill.
+    cols: Range<usize>,
+    /// Side-2 lanes of those nodes (CSR lanes are numbered node by node,
+    /// so they are contiguous too).
+    lanes: Range<usize>,
+    /// `t12[e1 · |cols| + (v2 − cols.start)] = max over inner lanes i of
+    /// v2 of C(f(e1), f(i)) · S_prev(src(e1), src(i))` — the per-outer-lane
+    /// best for the `s(v1, v2)` orientation, laid out so a row-major pair
+    /// walk streams each lane row sequentially.
     t12: Vec<f64>,
-    /// `t21[v1 · L2 + e2]` — the swapped orientation, laid out so all
-    /// lanes consumed while `v1` is fixed live in one contiguous row.
+    /// `t21[v1 · |lanes| + (e2 − lanes.start)]` — the swapped orientation,
+    /// laid out so all lanes consumed while `v1` is fixed live in one
+    /// contiguous row.
     t21: Vec<f64>,
-    /// One `prev` row gathered through side 2's lane sources — shared by
-    /// every side-1 lane with the same source node.
+    /// One `prev` row gathered through the block's lane sources — shared
+    /// by every side-1 lane with the same source node.
     gather: Vec<f64>,
     /// One lane's candidate products `C · g`, staged so the segmented
     /// `t12` max reduces over a contiguous buffer in lane blocks.
@@ -183,35 +219,15 @@ pub(crate) struct DenseScratch {
     zero: bool,
 }
 
-impl DenseScratch {
-    /// Borrows the filled substrate as a [`PairEval`].
-    pub fn as_eval(&self) -> PairEval<'_> {
-        PairEval::Dense {
-            t12: &self.t12,
-            t21: &self.t21,
-            zero: self.zero,
-        }
-    }
-}
-
-/// Which per-iteration substrate a pair evaluation reads. Both produce
-/// bit-identical values; the engine picks per iteration by worklist
-/// density.
+/// Which per-pair substrate a pair evaluation reads. Both produce
+/// bit-identical values (and match the dense block consume bitwise); the
+/// engine picks per iteration by worklist density.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PairEval<'a> {
     /// Per-pair scans over `prev` and its transpose.
     Sparse {
         /// Transpose of the previous matrix (`n2 × n1` row-major).
         prev_t: &'a [f64],
-    },
-    /// Lookups into the materialized inner maxima.
-    Dense {
-        /// See [`DenseScratch::t12`].
-        t12: &'a [f64],
-        /// See [`DenseScratch::t21`].
-        t21: &'a [f64],
-        /// See [`DenseScratch::zero`].
-        zero: bool,
     },
     /// Per-pair scans with the swapped orientation reading a CSR of the
     /// transposed previous matrix instead of a dense transpose. Built at
@@ -428,26 +444,44 @@ impl PairContext {
         }
     }
 
-    /// Fills the substrate for an all-zero `prev` — the first iteration of
-    /// every unseeded run. Every product `C · S_prev` is zero, so both
-    /// tables are zeroed wholesale; one streaming store sweep instead of
-    /// the full candidate fold.
-    pub fn dense_fill_zero(&self, scratch: &mut DenseScratch) {
-        let (n1, n2) = (self.csr1.num_nodes(), self.csr2.num_nodes());
-        let (l1, l2) = (self.csr1.num_lanes(), self.csr2.num_lanes());
-        scratch.t12.clear();
-        scratch.t12.resize(l1 * n2, 0.0);
-        scratch.t21.clear();
-        scratch.t21.resize(n1 * l2, 0.0);
-        scratch.zero = true;
+    /// Cuts the side-2 nodes into `blocks` contiguous column blocks and
+    /// writes the `blocks + 1` boundaries into `bounds` (block `b` covers
+    /// nodes `bounds[b]..bounds[b + 1]`). Blocks are balanced by lane
+    /// count, each node weighing its lanes plus [`BLOCK_NODE_WEIGHT`]. A
+    /// node never straddles two blocks; a block may be empty when there
+    /// are more blocks than weight to share.
+    pub fn column_blocks(&self, blocks: usize, bounds: &mut Vec<usize>) {
+        let n2 = self.csr2.num_nodes();
+        let blocks = blocks.max(1);
+        let weight_before = |v2: usize| self.csr2.lane_range(v2).start + BLOCK_NODE_WEIGHT * v2;
+        let total = self.csr2.num_lanes() + BLOCK_NODE_WEIGHT * n2;
+        bounds.clear();
+        bounds.push(0);
+        let mut v2 = 0usize;
+        for b in 1..blocks {
+            // First node boundary whose prefix weight reaches b/blocks of
+            // the total.
+            while v2 < n2 && weight_before(v2) * blocks < b * total {
+                v2 += 1;
+            }
+            bounds.push(v2);
+        }
+        bounds.push(n2);
     }
 
-    /// Refreshes the dense substrate from `prev` (row-major `n1 × n2`).
+    /// Refreshes one column block of the dense substrate from `prev`
+    /// (row-major `n1 × n2`): the `t12` entries of every side-1 lane at
+    /// the block's nodes and the `t21` entries of every side-1 node at the
+    /// block's lanes. The whole-grid fill is the one-block case; with
+    /// `zero` (an all-zero `prev` — the first iteration of every unseeded
+    /// run) every product `C · S_prev` is zero, so the block is zeroed
+    /// wholesale instead.
     ///
     /// One pass over side-1 lanes *grouped by source node*: every lane
     /// with source `u` weights the same gathered row `g[j] =
-    /// S_prev(u, src2(j))`, so the row is gathered once per source. Each
-    /// lane then runs two vector passes over its candidates:
+    /// S_prev(u, src2(j))` over the block's lanes `j`, so the row is
+    /// gathered once per source. Each lane then runs two vector passes
+    /// over its candidates:
     ///
     /// - **Pass A** computes the products `p[j] = C · g[j]` into the
     ///   staging buffer and elementwise-maxes them into the owning node's
@@ -466,36 +500,59 @@ impl PairContext {
     /// seed), and for non-negative IEEE doubles unsigned bit order equals
     /// value order. The max of a non-negative set is the same bit pattern
     /// in any accumulation order — so both tables hold exactly the values
-    /// the seed kernel's `>` scans would produce.
-    pub fn dense_fill(&self, prev: &[f64], scratch: &mut DenseScratch) {
-        let Some(ex) = self.expand.as_deref() else {
-            // Guarded by `dense_available` — nothing to fill without the
-            // expanded factors.
-            return;
-        };
+    /// the seed kernel's `>` scans would produce. Blocks end on node
+    /// boundaries, so every pass B segment lies inside one block and the
+    /// result does not depend on the block layout.
+    pub fn fill_block(
+        &self,
+        prev: &[f64],
+        zero: bool,
+        cols: Range<usize>,
+        scratch: &mut DenseScratch,
+    ) {
         let (n1, n2) = (self.csr1.num_nodes(), self.csr2.num_nodes());
         let (l1, l2) = (self.csr1.num_lanes(), self.csr2.num_lanes());
-        let src2 = self.csr2.lane_src();
+        let lane_at = |v2: usize| {
+            if v2 < n2 {
+                self.csr2.lane_range(v2).start
+            } else {
+                l2
+            }
+        };
+        let lanes = lane_at(cols.start)..lane_at(cols.end);
+        let (nb, lb) = (cols.len(), lanes.len());
+        scratch.cols = cols.clone();
+        scratch.lanes = lanes.clone();
+        scratch.zero = zero;
+        let Some(ex) = self.expand.as_deref().filter(|_| !zero) else {
+            // All-zero tables. Without the expanded factors there is
+            // nothing to fill either (guarded by `dense_available`).
+            scratch.t12.clear();
+            scratch.t21.clear();
+            scratch.t12.resize(l1 * nb, 0.0);
+            scratch.t21.resize(n1 * lb, 0.0);
+            return;
+        };
+        let src2 = &self.csr2.lane_src()[lanes.clone()];
         let DenseScratch {
             t12,
             t21,
             gather,
             prod,
             row_written,
-            zero,
+            ..
         } = scratch;
-        *zero = false;
-        t12.resize(l1 * n2, 0.0);
-        t21.resize(n1 * l2, 0.0);
-        gather.resize(l2, 0.0);
-        prod.resize(l2, 0.0);
+        t12.resize(l1 * nb, 0.0);
+        t21.resize(n1 * lb, 0.0);
+        gather.resize(lb, 0.0);
+        prod.resize(lb, 0.0);
         row_written.clear();
         row_written.resize(n1, false);
         // Nodes with no lanes keep an all-zero `t21` row — the value every
         // inner max over an empty candidate set takes.
         for v1 in 0..n1 {
             if self.csr1.lane_range(v1).is_empty() {
-                t21[v1 * l2..][..l2].fill(0.0);
+                t21[v1 * lb..][..lb].fill(0.0);
             }
         }
         for u in 0..n1 {
@@ -510,12 +567,12 @@ impl PairContext {
             }
             for &e1 in group {
                 let e1 = e1 as usize;
-                let ce = &ex[self.cls1[e1] as usize * l2..][..l2];
-                let gat = &gather[..l2];
-                let stage = &mut prod[..l2];
-                let out12 = &mut t12[e1 * n2..][..n2];
+                let ce = &ex[self.cls1[e1] as usize * l2 + lanes.start..][..lb];
+                let gat = &gather[..lb];
+                let stage = &mut prod[..lb];
+                let out12 = &mut t12[e1 * nb..][..nb];
                 let v1o = self.owner1[e1] as usize;
-                let out21 = &mut t21[v1o * l2..][..l2];
+                let out21 = &mut t21[v1o * lb..][..lb];
                 let first = !row_written[v1o];
                 row_written[v1o] = true;
                 // Pass A: stage products, accumulate the swapped
@@ -546,7 +603,7 @@ impl PairContext {
                 // (running offset — CSR segments tile the lane range in
                 // order), lane-blocked inside each segment.
                 let mut start = 0usize;
-                for (v2, slot) in out12.iter_mut().enumerate() {
+                for (v2, slot) in cols.clone().zip(out12.iter_mut()) {
                     let end = start + self.csr2.lane_range(v2).len();
                     *slot = f64::from_bits(max_bits_lanes(&stage[start..end]));
                     start = end;
@@ -573,10 +630,6 @@ impl PairContext {
             PairEval::Sparse { prev_t } => (
                 self.one_side_sparse(prev, prev_t, v1, v2, false),
                 self.one_side_sparse(prev, prev_t, v1, v2, true),
-            ),
-            PairEval::Dense { t12, t21, .. } => (
-                self.one_side_dense(t12, t21, v1, v2, false),
-                self.one_side_dense(t12, t21, v1, v2, true),
             ),
             // The plain orientation never touches the transpose (see
             // `one_side_sparse`), so it runs unchanged against the dense
@@ -612,92 +665,67 @@ impl PairContext {
         }
     }
 
-    /// One-side similarity via the dense substrate: sum the materialized
-    /// per-outer-lane maxima over the outer set, average.
-    fn one_side_dense(&self, t12: &[f64], t21: &[f64], v1: usize, v2: usize, swap: bool) -> f64 {
-        let (co, vo) = if swap {
-            (&self.csr2, v2)
-        } else {
-            (&self.csr1, v1)
-        };
-        let entries = co.entries(vo);
-        if entries.is_empty() {
-            return 0.0;
-        }
-        let art_best = self.art_best(v1, v2);
-        let mut sum = 0.0;
-        if swap {
-            let l2 = self.csr2.num_lanes();
-            let row = &t21[v1 * l2..][..l2];
-            for &ent in entries {
-                // ems-lint: allow(float-taint, must stay bitwise identical to the reference oracle; O(deg) bounded terms in [0,1])
-                sum += if ent == ARTIFICIAL_ENTRY {
-                    art_best
-                } else {
-                    row[ent as usize]
-                };
-            }
-        } else {
-            let n2 = self.csr2.num_nodes();
-            for &ent in entries {
-                sum += if ent == ARTIFICIAL_ENTRY {
-                    art_best
-                } else {
-                    t12[ent as usize * n2 + v2]
-                };
-            }
-        }
-        sum / entries.len() as f64
-    }
-
-    /// Row-oriented dense consume: pairs are processed in runs of
-    /// consecutive `k` within one `v1` row, capped at [`DENSE_TILE`]
-    /// columns so the accumulator tile and the `t12` rows it streams stay
-    /// cache-resident across the whole `ents1` walk. Within a run the
-    /// `s(v1, ·)` numerator accumulates entry rows of `t12` elementwise
-    /// ([`add_assign_lanes`] — independent per-column adds in
-    /// [`LANE_WIDTH`] blocks, in the same entry order as the pairwise
-    /// scan sums) and all per-`v1` lookups hoist out of the inner loop.
-    /// Retirement gaps and tile boundaries only shorten runs — a run of
-    /// length 1 degenerates to exactly the pairwise evaluation.
-    /// With `zero` (an all-zero substrate — the first iteration of an
-    /// unseeded run), the table reads are skipped outright: every skipped
-    /// term is `+ 0.0`, the bitwise identity on the non-negative
-    /// accumulators, so only the artificial-entry terms remain.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_chunk_dense(
+    /// Dense consume of one column block: evaluates the pairs `ks`
+    /// (ascending, every column inside the block `scratch` was filled
+    /// for) against the block's tables, writing the new values into `out`
+    /// (cleared first, one slot per pair) and returning the block's
+    /// maximum absolute delta.
+    ///
+    /// Pairs are processed in runs of consecutive `k` within one `v1` row
+    /// and the block, capped at [`DENSE_TILE`] columns so the accumulator
+    /// tile and the `t12` rows it streams stay cache-resident across the
+    /// whole `ents1` walk. Within a run the `s(v1, ·)` numerator
+    /// accumulates entry rows of `t12` elementwise ([`add_assign_lanes`]
+    /// — independent per-column adds in [`LANE_WIDTH`] blocks, in the same
+    /// entry order as the pairwise scan sums) and all per-`v1` lookups
+    /// hoist out of the inner loop. Retirement gaps, tile and block
+    /// boundaries only shorten runs — a run of length 1 degenerates to
+    /// exactly the pairwise evaluation. With `zero` (an all-zero
+    /// substrate — the first iteration of an unseeded run), the table
+    /// reads are skipped outright: every skipped term is `+ 0.0`, the
+    /// bitwise identity on the non-negative accumulators, so only the
+    /// artificial-entry terms remain.
+    pub fn eval_chunk_dense(
         &self,
         prev: &[f64],
-        t12: &[f64],
-        t21: &[f64],
-        zero: bool,
+        scratch: &DenseScratch,
         labels: &LabelMatrix,
         alpha: f64,
-        chunk: &[ActivePair],
+        ks: &[u32],
         out: &mut Vec<f64>,
     ) -> f64 {
+        let DenseScratch {
+            cols,
+            lanes,
+            t12,
+            t21,
+            zero,
+            ..
+        } = scratch;
+        let zero = *zero;
         let n2 = self.csr2.num_nodes();
-        let l2 = self.csr2.num_lanes();
+        let (nb, lb) = (cols.len(), lanes.len());
         out.clear();
-        out.reserve(chunk.len());
+        out.reserve(ks.len());
         let mut delta = 0.0_f64;
         let mut idx = 0usize;
-        while idx < chunk.len() {
-            let k0 = chunk[idx].k as usize;
+        while idx < ks.len() {
+            let k0 = ks[idx] as usize;
             let v1 = k0 / n2;
             let row_start = v1 * n2;
-            let row_end = row_start + n2;
+            let v2_0 = k0 - row_start;
+            debug_assert!(cols.contains(&v2_0), "pair outside the filled block");
+            let run_end = row_start + cols.end;
             let mut len = 1usize;
-            while len < DENSE_TILE && idx + len < chunk.len() {
-                let k = chunk[idx + len].k as usize;
-                if k != k0 + len || k >= row_end {
+            while len < DENSE_TILE && idx + len < ks.len() {
+                let k = ks[idx + len] as usize;
+                if k != k0 + len || k >= run_end {
                     break;
                 }
                 len += 1;
             }
-            let v2_0 = k0 - row_start;
             let ents1 = self.csr1.entries(v1);
-            let t21_row = &t21[v1 * l2..][..l2];
+            let t21_row = &t21[v1 * lb..][..lb];
             let base = out.len();
             out.resize(base + len, 0.0);
             let acc = &mut out[base..base + len];
@@ -707,7 +735,7 @@ impl PairContext {
                         *a += self.art_best(v1, v2_0 + j);
                     }
                 } else if !zero {
-                    let trow = &t12[ent as usize * n2 + v2_0..][..len];
+                    let trow = &t12[ent as usize * nb + (v2_0 - cols.start)..][..len];
                     add_assign_lanes(acc, trow);
                 }
             }
@@ -733,7 +761,7 @@ impl PairContext {
                         sum += if ent == ARTIFICIAL_ENTRY {
                             self.art_best(v1, v2)
                         } else {
-                            t21_row[ent as usize]
+                            t21_row[ent as usize - lanes.start]
                         };
                     }
                     sum / ents2.len() as f64
@@ -915,39 +943,55 @@ impl PairContext {
     }
 }
 
-/// Evaluates one worklist chunk against `prev` through the given
+/// Collects the worklist pairs whose side-2 node lies in the column
+/// block `cols` into `ks` (cleared first), keeping their ascending order.
+/// The worklist is ascending in `k` (built row-major, only ever shrunk in
+/// place), so the row advances incrementally instead of paying an integer
+/// division per pair.
+pub(crate) fn block_pairs(work: &[ActivePair], n2: usize, cols: Range<usize>, ks: &mut Vec<u32>) {
+    ks.clear();
+    let mut row_start = 0usize;
+    for ap in work {
+        let k = ap.k as usize;
+        debug_assert!(k >= row_start, "worklist must be ascending in k");
+        while k >= row_start + n2 {
+            row_start += n2;
+        }
+        if cols.contains(&(k - row_start)) {
+            ks.push(ap.k);
+        }
+    }
+}
+
+/// Evaluates the pairs `ks` against `prev` through the given per-pair
 /// substrate, writing the new values into `out` (cleared first, one slot
-/// per chunk entry) and returning the chunk's maximum absolute delta.
-/// Pure — safe to run on any shard layout.
+/// per pair) and returning their maximum absolute delta. Pure — safe to
+/// run on any block layout.
 ///
-/// The chunk must be ascending in `k` (worklists are built row-major and
-/// only ever shrink in place, so every contiguous shard qualifies); that
-/// lets the pair coordinates advance incrementally instead of paying an
-/// integer division per pair.
+/// `ks` must be ascending (as [`block_pairs`] leaves it); that lets the
+/// pair coordinates advance incrementally instead of paying an integer
+/// division per pair.
 pub(crate) fn eval_chunk(
     ctx: &PairContext,
     prev: &[f64],
     eval: &PairEval<'_>,
     labels: &LabelMatrix,
     alpha: f64,
-    chunk: &[ActivePair],
+    ks: &[u32],
     out: &mut Vec<f64>,
 ) -> f64 {
-    if let PairEval::Dense { t12, t21, zero } = *eval {
-        return ctx.eval_chunk_dense(prev, t12, t21, zero, labels, alpha, chunk, out);
-    }
     let n2 = ctx.csr2.num_nodes();
     out.clear();
-    out.reserve(chunk.len());
-    let Some(first) = chunk.first() else {
+    out.reserve(ks.len());
+    let Some(&first) = ks.first() else {
         return 0.0;
     };
-    let mut v1 = first.k as usize / n2;
+    let mut v1 = first as usize / n2;
     let mut row_end = (v1 + 1) * n2;
     let mut delta = 0.0_f64;
-    for ap in chunk {
-        let k = ap.k as usize;
-        debug_assert!(k >= row_end - n2, "chunk must be ascending in k");
+    for &k in ks {
+        let k = k as usize;
+        debug_assert!(k >= row_end - n2, "pairs must be ascending in k");
         while k >= row_end {
             v1 += 1;
             row_end += n2;
@@ -974,6 +1018,19 @@ pub(crate) fn transpose_into(src: &[f64], n1: usize, n2: usize, dst: &mut [f64])
     }
 }
 
+/// The host's available parallelism, read once per process: the query
+/// re-reads the cgroup CPU quota on every call, which costs tens of
+/// microseconds — more than a small run's whole fixpoint. The width is
+/// fixed at first use; a quota change after that is not seen.
+pub(crate) fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Resolves a thread-count knob: `0` means all available parallelism,
 /// and an explicit request above host parallelism is clamped (unless
 /// `oversubscribe` opts out) — extra workers on an already-full host only
@@ -981,9 +1038,7 @@ pub(crate) fn transpose_into(src: &[f64], n1: usize, n2: usize, dst: &mut [f64])
 /// clamp is reported so the caller can record the warning in
 /// [`crate::stats::RunStats::thread_clamp`].
 pub(crate) fn resolve_threads(knob: usize, oversubscribe: bool) -> (usize, Option<ThreadClamp>) {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host = host_parallelism();
     if knob == 0 {
         (host, None)
     } else if knob > host && !oversubscribe {
@@ -1044,13 +1099,10 @@ mod tests {
         let mut prev_t = vec![0.0; 6];
         transpose_into(&prev, 3, 2, &mut prev_t);
         let sparse = PairEval::Sparse { prev_t: &prev_t };
-        let mut scratch = DenseScratch::default();
-        with.dense_fill(&prev, &mut scratch);
-        let dense = PairEval::Dense {
-            t12: &scratch.t12,
-            t21: &scratch.t21,
-            zero: false,
-        };
+        let mut dense = [f64::NAN; 6];
+        for (k, v) in dense_block(&with, &prev, false, 0..2, &labels, 1.0) {
+            dense[k] = v;
+        }
         let prev_mat = crate::sim::SimMatrix::from_raw(3, 2, prev.to_vec());
         let prev_t_csr = SparseSim::from_dense_transposed(&prev_mat, 0.0);
         let csr = PairEval::Csr {
@@ -1061,13 +1113,121 @@ mod tests {
                 let label = labels.get(v1, v2);
                 let a = with.eval_pair(&prev, &sparse, v1, v2, 1.0, label);
                 let b = without.eval_pair(&prev, &sparse, v1, v2, 1.0, label);
-                let c = with.eval_pair(&prev, &dense, v1, v2, 1.0, label);
+                let c = dense[v1 * 2 + v2];
                 let d = with.eval_pair(&prev, &csr, v1, v2, 1.0, label);
                 let e = without.eval_pair(&prev, &csr, v1, v2, 1.0, label);
                 assert_eq!(a.to_bits(), b.to_bits(), "sparse paths at ({v1},{v2})");
                 assert_eq!(a.to_bits(), c.to_bits(), "dense path at ({v1},{v2})");
                 assert_eq!(a.to_bits(), d.to_bits(), "csr path at ({v1},{v2})");
                 assert_eq!(a.to_bits(), e.to_bits(), "csr fallback at ({v1},{v2})");
+            }
+        }
+    }
+
+    /// Fills the dense block `cols` from `prev` and consumes every pair of
+    /// the grid whose column lies in it, returning `(k, value)` pairs.
+    fn dense_block(
+        ctx: &PairContext,
+        prev: &[f64],
+        zero: bool,
+        cols: Range<usize>,
+        labels: &LabelMatrix,
+        alpha: f64,
+    ) -> Vec<(usize, f64)> {
+        let (n1, n2) = (ctx.csr1.num_nodes(), ctx.csr2.num_nodes());
+        let work: Vec<ActivePair> = (0..n1 * n2)
+            .map(|k| ActivePair {
+                k: k as u32,
+                h: H_INFINITE,
+            })
+            .collect();
+        let mut ks = Vec::new();
+        block_pairs(&work, n2, cols.clone(), &mut ks);
+        let mut scratch = DenseScratch::default();
+        ctx.fill_block(prev, zero, cols, &mut scratch);
+        let mut out = Vec::new();
+        ctx.eval_chunk_dense(prev, &scratch, labels, alpha, &ks, &mut out);
+        assert_eq!(out.len(), ks.len());
+        ks.iter().map(|&k| k as usize).zip(out).collect()
+    }
+
+    /// Column blocks partition the dense substrate without changing a
+    /// bit: for every block count from 1 to `n2 + 1` (empty blocks
+    /// included), filling and consuming each block reproduces the
+    /// per-pair sparse and CSR paths bitwise. The graphs put lane-less
+    /// side-2 nodes at block edges (first, middle and last node), give
+    /// side 1 lane-less nodes too, and route artificial entries through
+    /// both orientations.
+    #[test]
+    fn column_blocks_match_pairwise_paths_bitwise() {
+        // Side 1: `a` has only the artificial predecessor, `c` has no
+        // neighbors at all (zero frequency).
+        let g1 = DependencyGraph::from_parts(
+            vec!["a".into(), "b".into(), "c".into(), "d".into()],
+            vec![1.0, 1.0, 0.0, 0.5],
+            &[(0, 1, 0.5), (0, 3, 0.5), (3, 1, 0.5), (1, 3, 0.25)],
+        );
+        // Side 2: nodes 0 and 5 have only the artificial predecessor,
+        // node 1 has no neighbors at all.
+        let g2 = DependencyGraph::from_parts(
+            (0..6).map(|i| format!("n{i}")).collect(),
+            vec![1.0, 0.0, 0.7, 1.0, 0.3, 1.0],
+            &[
+                (0, 2, 0.7),
+                (3, 2, 0.3),
+                (2, 3, 0.7),
+                (0, 4, 0.3),
+                (4, 3, 0.3),
+            ],
+        );
+        let (n1, n2) = (4, 6);
+        let labels = LabelMatrix::from_raw(
+            n1,
+            n2,
+            (0..n1 * n2)
+                .map(|k| ((k * 5 + 2) % 7) as f64 / 7.0)
+                .collect(),
+        );
+        let alpha = 0.7;
+        // Some exact zeros, otherwise spread over [0, 1).
+        let prev: Vec<f64> = (0..n1 * n2)
+            .map(|k| ((k * 37 + 11) % 17) as f64 / 17.0)
+            .collect();
+        let zeros = vec![0.0; n1 * n2];
+        for (csr1, csr2) in [(g1.pre_csr(), g2.pre_csr()), (g1.post_csr(), g2.post_csr())] {
+            let ctx = PairContext::new(csr1, csr2, 0.8);
+            assert!(ctx.dense_available());
+            for (prev, zero) in [(&prev, false), (&zeros, true)] {
+                let mut prev_t = vec![0.0; n1 * n2];
+                transpose_into(prev, n1, n2, &mut prev_t);
+                let sparse = PairEval::Sparse { prev_t: &prev_t };
+                let prev_mat = crate::sim::SimMatrix::from_raw(n1, n2, prev.clone());
+                let prev_t_csr = SparseSim::from_dense_transposed(&prev_mat, 0.0);
+                let csr = PairEval::Csr {
+                    prev_t: &prev_t_csr,
+                };
+                let mut bounds = Vec::new();
+                for blocks in 1..=n2 + 1 {
+                    ctx.column_blocks(blocks, &mut bounds);
+                    assert_eq!(bounds.len(), blocks + 1);
+                    assert_eq!((bounds[0], bounds[blocks]), (0, n2));
+                    assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+                    let mut seen = 0;
+                    for w in bounds.windows(2) {
+                        for (k, got) in dense_block(&ctx, prev, zero, w[0]..w[1], &labels, alpha) {
+                            let (v1, v2) = (k / n2, k % n2);
+                            assert!((w[0]..w[1]).contains(&v2));
+                            let label = labels.get(v1, v2);
+                            let a = ctx.eval_pair(prev, &sparse, v1, v2, alpha, label);
+                            let b = ctx.eval_pair(prev, &csr, v1, v2, alpha, label);
+                            let what = format!("{blocks} blocks, zero={zero}, ({v1},{v2})");
+                            assert_eq!(got.to_bits(), a.to_bits(), "sparse: {what}");
+                            assert_eq!(got.to_bits(), b.to_bits(), "csr: {what}");
+                            seen += 1;
+                        }
+                    }
+                    assert_eq!(seen, n1 * n2, "{blocks} blocks cover the grid once");
+                }
             }
         }
     }
@@ -1111,9 +1271,7 @@ mod tests {
 
     #[test]
     fn resolve_threads_clamps_oversubscription_and_reports_it() {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let host = host_parallelism();
         // At or below host parallelism: honored verbatim, no warning.
         assert_eq!(resolve_threads(1, false), (1, None));
         assert_eq!(resolve_threads(host, false), (host, None));

@@ -179,10 +179,10 @@ pub struct RunStats {
     /// ([`crate::EmsParams::sparse_delta`]); `0` when sparsification is
     /// disabled or never fired.
     pub sparsified_pairs: u64,
-    /// Largest shard count any iteration's evaluation used — `1` for a
-    /// fully serial run, up to the resolved thread count when the
-    /// worklist stayed above the pairs-per-shard floor. Pool-utilization
-    /// telemetry only; never affects results.
+    /// Largest number of column blocks (one per pool member) any
+    /// iteration used — `1` for a fully serial run, up to the resolved
+    /// thread count when the worklist stayed above the pairs-per-shard
+    /// floor. Pool-utilization telemetry only; never affects results.
     pub pool_shards: u64,
     /// Whether the run stopped early due to `abort_below`.
     pub aborted: bool,

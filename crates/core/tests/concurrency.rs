@@ -1,5 +1,5 @@
 //! Interleaving tests for the engine's two shared-state mechanisms — the
-//! `Mutex<DenseScratch>` buffer reuse (`try_lock` with local fallback) and
+//! `Mutex<Vec<DenseScratch>>` buffer reuse (`try_lock` with local fallback) and
 //! the active-pair worklist's retire-exactly-once accounting — and for the
 //! `SharedSession` caches hit by plain and bypass calls at once.
 //!
@@ -56,7 +56,7 @@ fn assert_same_work(a: &RunStats, b: &RunStats, what: &str) {
 
 /// Concurrent `run`s on one shared engine race for the dense scratch
 /// buffers: the `try_lock` winner mutates the retained `DenseScratch`
-/// in place while every loser falls back to a fresh local one. Across
+/// blocks in place while every loser falls back to a fresh local one. Across
 /// barrier-aligned rounds with skewed schedules, every thread must still
 /// reproduce the serial baseline bitwise — the scratch is a pure cache,
 /// never state.

@@ -151,9 +151,10 @@ fn thread_count_never_changes_results() {
     }
 }
 
-/// A grid large enough to clear the parallel threshold still agrees
-/// bitwise between 1 and 8 threads — this exercises the sharded path with
-/// real thread spawns rather than the small-grid serial fallback.
+/// A grid large enough to clear the pairs-per-shard floor three times
+/// over agrees bitwise between 1, 2, 3 and 8 threads — this exercises the
+/// column-blocked path with real pool members (three uneven blocks at 3
+/// and 8 threads) rather than the small-grid serial fallback.
 #[test]
 #[cfg_attr(miri, ignore)] // large-grid thread spawns: minutes under interpretation
 fn large_grid_parallel_path_is_bit_identical() {
@@ -166,11 +167,11 @@ fn large_grid_parallel_path_is_bit_identical() {
         }
         log
     };
-    let g1 = DependencyGraph::from_log(&big_log(70));
-    let g2 = DependencyGraph::from_log(&big_log(80));
+    let g1 = DependencyGraph::from_log(&big_log(100));
+    let g2 = DependencyGraph::from_log(&big_log(110));
     assert!(
-        g1.num_real() * g2.num_real() >= 4096,
-        "grid too small to cross PAR_MIN_PAIRS"
+        g1.num_real() * g2.num_real() > 2 * 4096,
+        "grid too small for three blocks above the pairs-per-shard floor"
     );
     let labels = LabelMatrix::zeros(g1.num_real(), g2.num_real());
     let params = EmsParams::structural();
@@ -179,14 +180,22 @@ fn large_grid_parallel_path_is_bit_identical() {
         threads: Some(1),
         ..RunOptions::default()
     });
-    let parallel = engine.run(&RunOptions {
-        threads: Some(8),
-        oversubscribe: true,
-        ..RunOptions::default()
-    });
-    assert_bitwise(&serial.sim, &parallel.sim, "large grid");
-    assert_same_work(&serial.stats, &parallel.stats, "large grid");
     assert!(serial.stats.iterations > 0);
+    assert_eq!(serial.stats.pool_shards, 1);
+    for threads in [2usize, 3, 8] {
+        let parallel = engine.run(&RunOptions {
+            threads: Some(threads),
+            oversubscribe: true,
+            ..RunOptions::default()
+        });
+        let what = format!("large grid, {threads} threads");
+        assert_bitwise(&serial.sim, &parallel.sim, &what);
+        assert_same_work(&serial.stats, &parallel.stats, &what);
+        assert!(parallel.stats.pool_shards > 1, "{what}: pool never sharded");
+        if threads >= 3 {
+            assert_eq!(parallel.stats.pool_shards, 3, "{what}: block count");
+        }
+    }
 }
 
 /// δ = 0 sparse mode is *exact*: across random graphs, parameters and
